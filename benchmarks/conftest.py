@@ -1,8 +1,8 @@
 """Benchmark fixtures: workload scales and a cross-bench table cache.
 
 Every benchmark regenerates one table or figure of the paper at BENCH scale
-(4096 bodies, the paper's thread counts; see DESIGN.md section 2 for the
-scaling substitution).  Figures 5/6 reuse the tables produced by the table
+(4096 bodies instead of the paper's 2M, at the paper's thread counts --
+threads are simulated, so they need no cluster).  Figures 5/6 reuse the tables produced by the table
 benches through a session cache so the suite doesn't recompute them.
 
 Run with ``pytest benchmarks/ --benchmark-only``; add ``-s`` to see the

@@ -10,25 +10,34 @@ engines report aggregate counters through :class:`ForceResult` so the
 
 Lifecycle per time-step::
 
-    backend.begin_step(root, bodies)      # once, after c-of-m
+    backend.begin_step(root, bodies, box=box, tree=tree)  # after c-of-m
     for each thread t:
         res = backend.accelerations(idx_t, bodies)
 
 ``begin_step`` is where a backend does per-step preparation -- the flat
-backend flattens the freshly built octree, the direct backend evaluates the
-full O(n^2) sum once and serves slices.
+backend builds (or adopts) the step's ``FlatTree``, the direct backend
+evaluates the full O(n^2) sum once and serves slices.  ``root`` is the
+variant's ``Cell`` tree when it built one (None otherwise), ``box`` the
+variant's root box, and ``tree`` a ``FlatTree`` over ``box`` that the
+variant already had built this step through :meth:`build_step_tree`.
+Engines that read ``Cell`` fields declare ``needs_tree``; the subspace
+variant builds ``Cell`` objects only for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, Optional
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, Optional
 
 import numpy as np
 
+from ..nbody.bbox import RootBox
 from ..nbody.bodies import BodySoA
 from ..obs.trace import get_tracer
 from ..octree.cell import Cell
+
+if TYPE_CHECKING:
+    from ..octree.flat import FlatTree
 
 
 @dataclass
@@ -54,7 +63,9 @@ class ForceBackend:
 
     #: registry name; subclasses override
     name: ClassVar[str] = "?"
-    #: False for engines that ignore the octree entirely (direct summation)
+    #: True for engines that read the variant's ``Cell`` tree (its
+    #: fields, hooks, or structure); False for engines that build their
+    #: own tree or use none (direct summation)
     needs_tree: ClassVar[bool] = True
     #: next rung of the degradation ladder (registry name of the engine
     #: that serves a step when this one faults; None = last resort).  See
@@ -68,8 +79,17 @@ class ForceBackend:
         #: reassign after construction (BarnesHutSimulation does).
         self.tracer = tracer if tracer is not None else get_tracer()
 
-    def begin_step(self, root: Optional[Cell], bodies: BodySoA) -> None:
+    def begin_step(self, root: Optional[Cell], bodies: BodySoA,
+                   box: Optional[RootBox] = None,
+                   tree: Optional["FlatTree"] = None) -> None:
         """Per-step preparation; called once after the tree is finished."""
+
+    def build_step_tree(self, bodies: BodySoA,
+                        box: RootBox) -> Optional["FlatTree"]:
+        """Build the ``FlatTree`` this engine would build for the step over
+        ``box``, with its octant keys, for the variant to hand back to
+        :meth:`begin_step`; None when the engine builds no such tree."""
+        return None
 
     def accelerations(self, body_idx: np.ndarray,
                       bodies: BodySoA) -> ForceResult:

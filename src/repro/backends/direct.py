@@ -32,7 +32,8 @@ class DirectBackend(ForceBackend):
         self._acc: Optional[np.ndarray] = None
         self._n = 0
 
-    def begin_step(self, root: Optional[Cell], bodies: BodySoA) -> None:
+    def begin_step(self, root: Optional[Cell], bodies: BodySoA,
+                   box=None, tree=None) -> None:
         tr = self.tracer
         if tr.enabled:
             with tr.span("direct.presum", "backend", nbodies=len(bodies)):

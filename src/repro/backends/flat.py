@@ -1,14 +1,18 @@
 """The flat backend: SoA octree + level-synchronous vectorized traversal.
 
-Each step, :meth:`FlatBackend.begin_step` obtains a fresh
-:class:`~repro.octree.flat.FlatTree` (contiguous numpy arrays) over the
-current bodies.  Three build paths exist, selected by
-``BHConfig.flat_build``:
+Each step the engine serves one :class:`~repro.octree.flat.FlatTree`
+(contiguous numpy arrays) over the current bodies.  Three build paths
+exist, selected by ``BHConfig.flat_build``:
 
 * ``"morton"`` (default) -- :func:`~repro.octree.morton_build.build_flat_tree`
-  constructs the CSR arrays directly from sorted octant keys, never
-  touching ``Cell`` objects; the object tree the variant built for its
-  simulated-communication accounting is ignored here.
+  constructs the CSR arrays directly from sorted octant keys over the
+  variant's root box, never touching ``Cell`` objects.  This is the one
+  tree of the step: the subspace variant builds it in its subforest phase
+  through :meth:`FlatBackend.build_step_tree` (and derives its emulated
+  tree-build charges from the tree's keys, building no ``Cell`` objects)
+  and hands it back to :meth:`FlatBackend.begin_step`; the other variants
+  still build their ``Cell`` tree for the cost model, and ``begin_step``
+  builds the ``FlatTree`` from the box they pass.
 * ``"incremental"`` --
   :func:`~repro.octree.morton_build.build_flat_tree_incremental` splices
   subtrees whose octant runs did not change since the previous step and
@@ -19,12 +23,13 @@ current bodies.  Three build paths exist, selected by
   byte-identical to a fresh Morton build over that same sticky box.
 * ``"insertion"`` -- flatten the variant's freshly built object tree via
   :meth:`FlatTree.from_cell` (the original path; structurally identical,
-  kept for A/B checks and for callers that mutate ``Cell`` hooks).
+  kept for A/B checks and for callers that mutate ``Cell`` hooks).  Only
+  this path reads ``Cell`` objects, so only it sets ``needs_tree``.
 
-The Morton paths need no object tree at all: when ``begin_step`` is
-handed ``root=None`` they derive the root box from the body positions.
-The insertion path cannot, and raises instead of silently serving a
-``None`` tree (zero forces) as it used to.
+The Morton paths need no object tree at all: without a box they derive
+the root box from the body positions.  The insertion path cannot, and
+raises on ``root=None`` instead of silently serving a ``None`` tree
+(zero forces) as it used to.
 
 Carried-over :class:`~repro.octree.morton_build.MortonBuildState` is only
 meaningful for one body set advancing in time, so the backend resets it
@@ -69,12 +74,17 @@ class FlatBackend(ForceBackend):
     """Array-native tree engine (the fast path for real wall-clock work)."""
 
     name = "flat"
+    #: the Morton paths build their own tree from the root box
+    needs_tree = False
     #: degradation rung: the linked-cell recursion computes the same
-    #: physics from the object tree the variant builds anyway
+    #: physics from the variant's object tree (built on demand by the
+    #: degradation wrapper when the variant built none)
     fallback_name = "object-tree"
 
     def __init__(self, cfg, tracer=None):
         super().__init__(cfg, tracer=tracer)
+        if self.build_path == "insertion":
+            self.needs_tree = True
         self.tree: Optional[FlatTree] = None
         self._prepared = None
         incremental = getattr(cfg, "flat_build", "morton") == "incremental"
@@ -104,21 +114,19 @@ class FlatBackend(ForceBackend):
         state = self._morton_state
         return state.last_reuse if state is not None else None
 
-    def _resolve_box(self, root: Optional[Cell],
+    def _resolve_box(self, box: Optional[RootBox],
                      bodies: BodySoA) -> RootBox:
-        """Root box for a Morton-path build.
-
-        With a root cell, reuse its exact floats so the octant keys
-        replay the insertion build's midpoint comparisons.  Without one
-        (no object tree was built), derive the box from the positions.
-        """
-        if root is not None:
-            return RootBox(center=np.asarray(root.center, dtype=np.float64),
-                           rsize=float(root.size))
+        """Root box for a Morton-path build: the variant's box (whose
+        floats its ``Cell`` tree, if any, was built on, so the octant keys
+        replay the insertion build's midpoint comparisons), else one
+        derived from the positions."""
+        if box is not None:
+            return box
         return compute_root(bodies.pos,
                             getattr(self.cfg, "initial_rsize", 4.0))
 
-    def _sticky_box(self, root: Optional[Cell], bodies: BodySoA) -> RootBox:
+    def _sticky_box(self, box: Optional[RootBox],
+                    bodies: BodySoA) -> RootBox:
         """Cross-step-stable root box for the incremental path.
 
         Consecutive steps' octant keys are only comparable over
@@ -127,13 +135,13 @@ class FlatBackend(ForceBackend):
         back to one fresh (snapshot-reseeding) build.
         """
         if self._box is None:
-            self._box = self._resolve_box(root, bodies)
+            self._box = self._resolve_box(box, bodies)
         elif not self._box.contains(bodies.pos).all():
             self._box = compute_root(bodies.pos,
                                      getattr(self.cfg, "initial_rsize", 4.0))
         return self._box
 
-    def _build_tree(self, root: Optional[Cell],
+    def _build_tree(self, root: Optional[Cell], box: Optional[RootBox],
                     bodies: BodySoA) -> FlatTree:
         path = self.build_path
         if path == "insertion":
@@ -146,7 +154,7 @@ class FlatBackend(ForceBackend):
         tr = self.tracer
         tr = tr if tr.enabled else None
         if path == "incremental":
-            box = self._sticky_box(root, bodies)
+            box = self._sticky_box(box, bodies)
             depth = getattr(self.cfg, "flat_reuse_depth", KEY_LEVELS)
             try:
                 return build_flat_tree_incremental(
@@ -165,10 +173,29 @@ class FlatBackend(ForceBackend):
                     bodies.pos, bodies.mass, box, costs=bodies.cost,
                     tracer=tr, state=self._morton_state,
                     reuse_depth=depth)
-        box = self._resolve_box(root, bodies)
+        box = self._resolve_box(box, bodies)
         return build_flat_tree(bodies.pos, bodies.mass, box,
                                costs=bodies.cost, tracer=tr,
                                state=self._morton_state)
+
+    def _track(self, bodies: BodySoA) -> None:
+        """Drop carried build state that belongs to another body set."""
+        if bodies is not self._state_bodies:
+            # a different body set: the carried sorted order / structure
+            # snapshot belongs to someone else -- drop it
+            if self._morton_state is not None:
+                self._morton_state.reset()
+            self._box = None
+            self._state_bodies = bodies
+
+    def build_step_tree(self, bodies: BodySoA,
+                        box: RootBox) -> Optional[FlatTree]:
+        """The Morton path's tree over ``box`` (None on the other paths:
+        the incremental one keeps its own sticky box)."""
+        if self.build_path != "morton":
+            return None
+        self._track(bodies)
+        return self._build_tree(None, box, bodies)
 
     def adopt_state(self, bodies: BodySoA,
                     box: Optional[RootBox] = None) -> None:
@@ -187,19 +214,16 @@ class FlatBackend(ForceBackend):
         self._state_bodies = bodies
         self._box = box
 
-    def begin_step(self, root: Optional[Cell], bodies: BodySoA) -> None:
+    def begin_step(self, root: Optional[Cell], bodies: BodySoA,
+                   box: Optional[RootBox] = None,
+                   tree: Optional[FlatTree] = None) -> None:
         tr = self.tracer
         traced = tr.enabled
         if traced:
             tr.begin("flat.begin_step", "backend", build=self.build_path)
-        if bodies is not self._state_bodies:
-            # a different body set: the carried sorted order / structure
-            # snapshot belongs to someone else -- drop it (S1 fix)
-            if self._morton_state is not None:
-                self._morton_state.reset()
-            self._box = None
-            self._state_bodies = bodies
-        self.tree = self._build_tree(root, bodies)
+        self._track(bodies)
+        self.tree = tree if tree is not None \
+            else self._build_tree(root, box, bodies)
         # body-side arrays are shared by every thread group of the step
         self._prepared = prepare_bodies(bodies.pos, bodies.mass)
         nbytes = self.tree.nbytes

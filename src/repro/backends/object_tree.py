@@ -32,7 +32,8 @@ class ObjectTreeBackend(ForceBackend):
         super().__init__(cfg, tracer=tracer)
         self.root: Optional[Cell] = None
 
-    def begin_step(self, root: Optional[Cell], bodies: BodySoA) -> None:
+    def begin_step(self, root: Optional[Cell], bodies: BodySoA,
+                   box=None, tree=None) -> None:
         self.root = root
 
     def accelerations(self, body_idx: np.ndarray,

@@ -22,7 +22,8 @@ class BHConfig:
     Defaults follow the paper's section 4.1: SPLASH-2 parameters
     (theta = 1.0, dt = 0.025, Plummer initial conditions), 4 time-steps with
     the last 2 measured.  The body count is scaled down from the paper's
-    2M (see DESIGN.md section 2).
+    2M: threads and communication are simulated, so the paper's thread
+    counts still run on one machine (see :mod:`repro.upc`).
     """
 
     nbodies: int = 4096

@@ -35,7 +35,7 @@ from .variants.base import (
 )
 
 #: bodies per working group -- the vectorization granularity standing in for
-#: one of the paper's "working bodies" (documented in DESIGN.md)
+#: one of the paper's "working bodies" (``n1`` counts groups, see above)
 GROUP_BODIES = 32
 
 

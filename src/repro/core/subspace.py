@@ -20,6 +20,13 @@ The algorithm (a scalable derivative of Shan & Singh's):
    and hooks each subtree into thread 0's top tree with a single remote
    pointer write; the writes touch disjoint slots, so no locks are needed.
 5. **Top c-of-m** -- thread 0 finishes the O(#subspaces) top cells.
+
+Steps 4-5 exist twice.  :func:`build_subforest_and_hook` builds the
+``Cell`` subforest by insertion -- the reference, and the tree the
+object-tree force engine reads.  :func:`account_subforest` serves engines
+that never read ``Cell`` objects (the flat engines on their Morton path):
+it takes the step's one :class:`~repro.octree.flat.FlatTree` and derives
+the identical UPC charges from its sorted octant keys, creating no cells.
 """
 
 from __future__ import annotations
@@ -32,7 +39,9 @@ import numpy as np
 from ..nbody.bbox import RootBox
 from ..octree.build import insert
 from ..octree.cell import Cell, Leaf
-from ..octree.cofm import compute_cofm
+from ..octree.cofm import compute_cofm, fold_cell
+from ..octree.flat import FlatTree
+from ..octree.morton_build import KEY_LEVELS, shared_digits
 from ..upc.collectives import allreduce_scalar, allreduce_vector, alltoallv
 from ..upc.runtime import UpcRuntime
 
@@ -55,6 +64,7 @@ class SubspaceTree:
     child_base: np.ndarray  # (N,) index of first child or -1
     global_cost: np.ndarray  # (N,)
     global_count: np.ndarray  # (N,)
+    depth: np.ndarray  # (N,) split levels below the root
     levels: List[np.ndarray] = field(default_factory=list)
     leaves: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
 
@@ -93,6 +103,7 @@ def split_subspaces(rt: UpcRuntime, pos: np.ndarray, cost: np.ndarray,
     centers = [np.asarray(box.center, dtype=np.float64)]
     sizes = [float(box.rsize)]
     parent = [-1]
+    depths = [0]
     octs = [0]
     child_base = [-1]
     g_cost = [0.0]
@@ -150,6 +161,7 @@ def split_subspaces(rt: UpcRuntime, pos: np.ndarray, cost: np.ndarray,
                 centers.append(cf + off)
                 sizes.append(sizes[f] / 2.0)
                 parent.append(f)
+                depths.append(depths[f] + 1)
                 octs.append(o)
                 child_base.append(-1)
                 g_cost.append(0.0)
@@ -178,6 +190,7 @@ def split_subspaces(rt: UpcRuntime, pos: np.ndarray, cost: np.ndarray,
         child_base=np.asarray(child_base, dtype=np.int64),
         global_cost=np.asarray(g_cost),
         global_count=np.asarray(g_count, dtype=np.int64),
+        depth=np.asarray(depths, dtype=np.int64),
         levels=levels,
     )
     tree.leaves = tree.leaves_in_order()
@@ -239,17 +252,86 @@ CELL_COMPUTE = 100e-9
 CELL_VISIT_WORDS = 2
 
 
+def _group_by_leaf(body_ss: np.ndarray) -> Dict[int, np.ndarray]:
+    """Body ids per leaf subspace, ascending (the insertion order)."""
+    if len(body_ss) == 0:
+        return {}
+    order = np.argsort(body_ss, kind="stable")
+    sorted_ss = body_ss[order]
+    bounds = np.concatenate(
+        ([0], np.flatnonzero(np.diff(sorted_ss)) + 1, [len(order)]))
+    return {int(sorted_ss[lo]): order[lo:hi]
+            for lo, hi in zip(bounds[:-1], bounds[1:])}
+
+
+def _insert_subtree(tree: SubspaceTree, leaf: int, sel: np.ndarray,
+                    pos: np.ndarray, t: int) -> "tuple[Cell, int, int]":
+    """Insert ``sel`` into a fresh subtree at ``leaf``; returns the subtree
+    root and the (cell visits, cell allocations) the insertion made."""
+    cell = Cell(tree.centers[leaf].copy(), float(tree.sizes[leaf]), home=t)
+    n = [0, 0]
+
+    def on_visit(c):
+        n[0] += 1
+
+    def on_alloc(c):
+        n[1] += 1
+
+    for b in sel:
+        insert(cell, int(b), pos, home=t, on_visit=on_visit,
+               on_alloc=on_alloc)
+    return cell, n[0], n[1]
+
+
+def _charge_subtree(variant, t: int, visits: int, allocs: int) -> None:
+    """Thread ``t``'s charges for one local subtree: its ``allocs + 1``
+    cells allocated, the insertion walk, and the local c-of-m pass."""
+    rt: UpcRuntime = variant.rt
+    m = rt.machine
+    ncells = allocs + 1
+    rt.heap.upc_alloc_many(t, m.cell_nbytes, ncells)
+    rt.charge_compute(t, visits * CELL_VISIT_WORDS * m.local_word_cost
+                      + ncells * CELL_COMPUTE)
+    variant.ncells += ncells
+    rt.charge_compute(t, ncells * CELL_COMPUTE)
+
+
+def _finish_top(variant, ntop: int, child_homes: List[int],
+                local_times: np.ndarray) -> None:
+    """Thread 0 finishes the top cells: it gathers the (mass, cofm) of all
+    hooked subtree roots -- one indexed gather per source thread, using the
+    same aggregation machinery as the force phase -- then runs a local
+    bottom-up pass over the O(#subspaces) top cells.
+
+    ``child_homes`` lists every occupied child slot of the top cells, in
+    top-cell then octant order: the home thread of a child cell, or -1 for
+    a single-body leaf.
+    """
+    rt: UpcRuntime = variant.rt
+    per_source: Dict[int, int] = {}
+    for home in child_homes:
+        if home > 0:
+            per_source[home] = per_source.get(home, 0) + 1
+    for src, cnt in per_source.items():
+        rt.memget_ilist(0, src, cnt, rt.machine.cell_nbytes,
+                        key="top_cofm_gathers")
+    rt.charge_compute(0, (ntop + len(child_homes)) * CELL_COMPUTE)
+    variant.treebuild_subphases.append(
+        {"local": local_times, "merge": np.zeros(rt.nthreads)})
+
+
 def build_subforest_and_hook(variant, tree: SubspaceTree,
                              body_ss: np.ndarray,
                              leaf_owner: np.ndarray) -> Cell:
     """Phases 4-5: local subforests, lock-free hooking, top c-of-m.
 
-    Returns the global root cell (thread 0's top tree).
+    Returns the global root cell (thread 0's top tree).  This is the
+    reference build; :func:`account_subforest` issues the same charges
+    from octant keys for engines that never read ``Cell`` objects.
     """
     rt: UpcRuntime = variant.rt
     bodies = variant.bodies
     P = rt.nthreads
-    m = rt.machine
 
     # thread 0's top-tree cells, one per internal (split) subspace
     top: Dict[int, Cell] = {}
@@ -269,62 +351,23 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
                 top[int(node)].children[o] = top[ch]
     variant.ncells = len(top)
 
-    # group bodies by leaf
-    order = np.argsort(body_ss, kind="stable")
-    sorted_ss = body_ss[order]
-    leaf_rank = {int(l): r for r, l in enumerate(tree.leaves)}
-
-    lo = 0
-    groups: Dict[int, np.ndarray] = {}
-    while lo < len(sorted_ss):
-        hi = lo
-        node = sorted_ss[lo]
-        while hi < len(sorted_ss) and sorted_ss[hi] == node:
-            hi += 1
-        groups[int(node)] = order[lo:hi]
-        lo = hi
-
+    groups = _group_by_leaf(body_ss)
     local_times = np.zeros(P)
     for t in range(P):
         start = float(rt.clock[t])
-        my_leaves = tree.leaves[leaf_owner == t]
-        for leaf in my_leaves:
+        for leaf in tree.leaves[leaf_owner == t]:
             leaf = int(leaf)
             sel = groups.get(leaf)
-            if sel is None or len(sel) == 0:
+            if sel is None:
                 continue
             if len(sel) == 1 and leaf != 0:
                 node: "Cell | Leaf" = Leaf(int(sel[0]))
             else:
-                cell = Cell(tree.centers[leaf].copy(),
-                            float(tree.sizes[leaf]), home=t)
-                rt.heap.upc_alloc(t, m.cell_nbytes, cell)
-                counters = {"visits": 0, "allocs": 0}
-
-                def on_visit(c, cnt=counters):
-                    cnt["visits"] += 1
-
-                def on_alloc(c, cnt=counters, t=t):
-                    cnt["allocs"] += 1
-                    rt.heap.upc_alloc(t, m.cell_nbytes, c)
-
-                for b in sel:
-                    insert(cell, int(b), bodies.pos, home=t,
-                           on_visit=on_visit, on_alloc=on_alloc)
-                rt.charge_compute(
-                    t,
-                    counters["visits"] * CELL_VISIT_WORDS
-                    * m.local_word_cost
-                    + (counters["allocs"] + 1) * CELL_COMPUTE,
-                )
-                variant.ncells += counters["allocs"] + 1
+                node, visits, allocs = _insert_subtree(tree, leaf, sel,
+                                                       bodies.pos, t)
                 # local c-of-m for the subtree (no communication)
-                ncells = [0]
-                compute_cofm(cell, bodies.pos, bodies.mass, bodies.cost,
-                             on_cell=lambda c, nc=ncells: nc.__setitem__(
-                                 0, nc[0] + 1))
-                rt.charge_compute(t, ncells[0] * CELL_COMPUTE)
-                node = cell
+                compute_cofm(node, bodies.pos, bodies.mass, bodies.cost)
+                _charge_subtree(variant, t, visits, allocs)
             if leaf == 0:
                 # degenerate: the root itself is a leaf subspace
                 root_cell.children = node.children
@@ -335,24 +378,131 @@ def build_subforest_and_hook(variant, tree: SubspaceTree,
             rt.word_access(t, 0, words=1.0, key="subtree_hooks")
         local_times[t] = float(rt.clock[t]) - start
 
-    # thread 0 finishes the top cells: it gathers the (mass, cofm) of all
-    # hooked subtree roots -- one indexed gather per source thread, using
-    # the same aggregation machinery as the force phase -- then runs a
-    # local bottom-up pass over the O(#subspaces) top cells.
-    per_source: Dict[int, int] = {}
-    nchildren = 0
-    for node, cell in top.items():
-        for ch in cell.children:
-            if ch is None:
-                continue
-            nchildren += 1
-            if isinstance(ch, Cell) and ch.home != 0:
-                per_source[ch.home] = per_source.get(ch.home, 0) + 1
-    for src, cnt in per_source.items():
-        rt.memget_ilist(0, src, cnt, m.cell_nbytes, key="top_cofm_gathers")
-    rt.charge_compute(0, (len(top) + nchildren) * CELL_COMPUTE)
-    compute_cofm(root_cell, bodies.pos, bodies.mass, bodies.cost)
-    variant.treebuild_subphases.append(
-        {"local": local_times, "merge": np.zeros(P)}
-    )
+    child_homes = [ch.home if isinstance(ch, Cell) else -1
+                   for cell in top.values() for ch in cell.children
+                   if ch is not None]
+    _finish_top(variant, len(top), child_homes, local_times)
+    # the subtrees are finished; fold only the top cells, children first
+    # (a child subspace always has a higher node id than its parent)
+    for node in sorted(top, reverse=True):
+        fold_cell(top[node], bodies.pos, bodies.mass, bodies.cost)
     return root_cell
+
+
+def _key_counts(tree: SubspaceTree, body_ss: np.ndarray, keys: np.ndarray,
+                order: np.ndarray) -> "tuple[np.ndarray, ...]":
+    """Per subspace node: bodies, insertion visits and cell allocations of
+    its local subtree, and whether the keys cannot resolve it (``deep``).
+
+    Inserting bodies one at a time into a leaf subspace at depth ``D``
+    makes a cell for every key prefix longer than ``D`` that two of them
+    share, so over the leaf's bodies in key order, with ``h`` the shared
+    digits of each adjacent pair:
+
+    * allocations = sum of ``max(0, h - h_prev)`` (``h_prev = D`` for the
+      first pair) -- the distinct shared prefixes;
+    * visits = bodies + sum of ``h - D`` -- each body visits the subtree
+      root plus every cell of its path that an earlier body shares, and
+      at every depth all but the first-inserted body of each prefix group
+      do (so the total does not depend on the insertion order).
+
+    A leaf with a pair sharing all ``KEY_LEVELS`` digits is ``deep``: its
+    structure lies below the packed keys (and may end in ``MAX_DEPTH``
+    buckets counted from the subtree root), so only insertion can count it.
+    """
+    n_nodes = tree.n_nodes
+    count = np.bincount(body_ss, minlength=n_nodes)
+    # bodies grouped by leaf, key-sorted within each leaf
+    perm = order[np.argsort(body_ss[order], kind="stable")]
+    ss = body_ss[perm]
+    sk = keys[perm]
+    same = ss[1:] == ss[:-1]
+    pleaf = ss[1:][same]
+    h = shared_digits(sk[1:][same] ^ sk[:-1][same])
+    depth = tree.depth[pleaf]
+    deep = np.zeros(n_nodes, dtype=bool)
+    deep[pleaf[h >= KEY_LEVELS]] = True
+    first = np.ones(len(h), dtype=bool)
+    first[1:] = pleaf[1:] != pleaf[:-1]
+    h_prev = np.empty_like(h)
+    h_prev[1:] = h[:-1]
+    h_prev[first] = depth[first]
+    visits = count + np.bincount(pleaf, weights=h - depth,
+                                 minlength=n_nodes).astype(np.int64)
+    allocs = np.bincount(pleaf, weights=np.maximum(h - h_prev, 0),
+                         minlength=n_nodes).astype(np.int64)
+    return count, visits, allocs, deep
+
+
+def account_subforest(variant, tree: SubspaceTree, body_ss: np.ndarray,
+                      leaf_owner: np.ndarray, flat: FlatTree) -> None:
+    """Phases 4-5 without ``Cell`` objects: the charges of
+    :func:`build_subforest_and_hook`, bit for bit, derived from the octant
+    keys of ``flat`` (the step's Morton-built tree over the same root box).
+
+    The subspace split compares positions against the same chained
+    midpoints the keys encode, so a leaf subspace at depth ``D`` is a key
+    prefix of length ``D`` and its local subtree is the key trie below it
+    (see :func:`_key_counts`).  Leaves the keys cannot resolve fall back
+    to real insertion.
+    """
+    rt: UpcRuntime = variant.rt
+    pos = variant.bodies.pos
+    P = rt.nthreads
+
+    ntop = max(int((tree.child_base >= 0).sum()), 1)
+    rt.charge_compute(0, ntop * CELL_COMPUTE)
+    variant.ncells = ntop
+
+    count, visits, allocs, deep = _key_counts(tree, body_ss, flat.keys,
+                                              flat.order)
+    home = np.full(tree.n_nodes, -1, dtype=np.int64)
+    root_cell: Optional[Cell] = None
+    local_times = np.zeros(P)
+    for t in range(P):
+        start = float(rt.clock[t])
+        for leaf in tree.leaves[leaf_owner == t]:
+            leaf = int(leaf)
+            k = int(count[leaf])
+            if k == 0:
+                continue
+            if k > 1 or leaf == 0:
+                if deep[leaf]:
+                    sel = np.flatnonzero(body_ss == leaf)
+                    cell, v, a = _insert_subtree(tree, leaf, sel, pos, t)
+                    if leaf == 0:
+                        root_cell = cell
+                else:
+                    v, a = int(visits[leaf]), int(allocs[leaf])
+                _charge_subtree(variant, t, v, a)
+                home[leaf] = t
+            if leaf == 0:
+                continue
+            rt.word_access(t, 0, words=1.0, key="subtree_hooks")
+        local_times[t] = float(rt.clock[t]) - start
+
+    if tree.child_base[0] < 0:
+        child_homes = _root_leaf_child_homes(flat, int(home[0]), root_cell)
+    else:
+        child_homes = []
+        for node in np.flatnonzero(tree.child_base >= 0):
+            for ch in range(tree.child_base[node], tree.child_base[node] + 8):
+                if tree.child_base[ch] >= 0:
+                    child_homes.append(0)  # a top cell
+                elif count[ch] == 1:
+                    child_homes.append(-1)
+                elif count[ch] > 1:
+                    child_homes.append(int(home[ch]))
+    _finish_top(variant, ntop, child_homes, local_times)
+
+
+def _root_leaf_child_homes(flat: FlatTree, home: int,
+                           root_cell: Optional[Cell]) -> List[int]:
+    """Child homes of a root that is itself a leaf subspace: its children
+    are the first-level slots of the whole tree."""
+    if root_cell is not None:  # resolved by insertion
+        return [ch.home if isinstance(ch, Cell) else -1
+                for ch in root_cell.children if ch is not None]
+    first = flat.keys >> (3 * (KEY_LEVELS - 1))
+    occupied = np.bincount(first, minlength=8)
+    return [home if c > 1 else -1 for c in occupied if c > 0]

@@ -30,6 +30,7 @@ from ...nbody.integrator import advance_indices, startup_half_kick
 from ...octree.build import insert, new_root
 from ...octree.cell import Cell, Leaf
 from ...octree.costzones import costzones
+from ...octree.flat import FlatTree, RootSummary
 from ...octree.traverse import TraversalPolicy, gravity_traversal
 from ...upc.locks import UpcLock
 from ...upc.memory import SharedArray
@@ -89,7 +90,12 @@ class VariantBase:
         bodies.store = SharedArray.block_distributed(self.P, n)
         bodies.assign = bodies.store.copy()
         self.box: RootBox = compute_root(bodies.pos, cfg.initial_rsize)
-        self.root: Optional[Cell] = None
+        #: the step's tree root: a ``Cell``, or the ``RootSummary`` of
+        #: ``step_tree`` when no ``Cell`` tree was built
+        self.root: "Cell | RootSummary | None" = None
+        #: the step's FlatTree when the tree-build phase already built it
+        #: for the force engine (None: the engine builds its own)
+        self.step_tree: Optional[FlatTree] = None
         self.mycelltab: List[List[Cell]] = [[] for _ in range(self.P)]
         self._locks: Dict[int, UpcLock] = {}
         #: per-step migration fraction (section 5.2 claim)
@@ -335,7 +341,8 @@ class VariantBase:
         rt = self.rt
         bodies = self.bodies
         backend = self.force_backend
-        backend.begin_step(self.root if backend.needs_tree else None, bodies)
+        root = self.root if isinstance(self.root, Cell) else None
+        backend.begin_step(root, bodies, box=self.box, tree=self.step_tree)
         new_cost = bodies.cost.copy()
         for t in range(self.P):
             idx = self.assigned(t)

@@ -7,12 +7,19 @@ configuration of Tables 8/9 and the tail of Figures 5/6/13.
 
 ``vector_reduction=False`` reproduces the Figure-10 configuration (one
 scalar reduction per subspace instead of one vector reduction per level).
+
+When the force engine reads no ``Cell`` objects and can build the step's
+:class:`~repro.octree.flat.FlatTree` over the variant's root box (the flat
+engines on their Morton path), the subforest phase builds that one tree
+and charges the subforest from its keys instead of inserting ``Cell``
+objects; the simulated times and counters are the same either way.
 """
 
 from __future__ import annotations
 
 from ..phases import ADVANCE, FORCE, PARTITION, REDISTRIBUTION, TREEBUILD
 from ..subspace import (
+    account_subforest,
     allocate_leaves,
     build_subforest_and_hook,
     exchange_bodies,
@@ -69,6 +76,12 @@ class Subspace(AsyncAgg):
         self.migration_fractions.append(frac)
 
     def phase_subforest(self) -> None:
-        self.root = build_subforest_and_hook(
-            self, self._ss_tree, self._ss_body_map, self._ss_owner
-        )
+        flat = self.force_backend.build_step_tree(self.bodies, self.box)
+        self.step_tree = flat
+        if flat is None:
+            self.root = build_subforest_and_hook(
+                self, self._ss_tree, self._ss_body_map, self._ss_owner)
+        else:
+            account_subforest(self, self._ss_tree, self._ss_body_map,
+                              self._ss_owner, flat)
+            self.root = flat.root_summary()

@@ -1,8 +1,8 @@
 """Evaluation harness: one runner per table and figure of the paper.
 
-See DESIGN.md section 4 for the experiment index.  The CLI
-(``python -m repro.experiments --all``) regenerates everything into
-``results/``.
+``python -m repro.experiments --help`` lists every experiment id (tables,
+figures, ablations); ``python -m repro.experiments --all`` regenerates
+everything into ``results/``.
 """
 
 from .ablations import (

@@ -1,4 +1,4 @@
-"""Ablations of the paper's design choices (DESIGN.md section 5).
+"""Ablations of the paper's design choices.
 
 * ``n1 = n2 = n3`` sensitivity -- the paper: "results are not very
   sensitive to that choice, and performance is good even with

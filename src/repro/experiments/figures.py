@@ -11,7 +11,7 @@
   work runs out.
 
 Figures 1-4 and 9 are illustrative diagrams with no data; Table 1 is a
-taxonomy.  Neither is reproduced (see DESIGN.md).
+taxonomy.  Neither is reproduced.
 """
 
 from __future__ import annotations

@@ -35,32 +35,42 @@ def compute_cofm(root: Cell, positions: np.ndarray, masses: np.ndarray,
             if isinstance(ch, Cell):
                 stack.append(ch)
     for c in reversed(order):
-        mass = 0.0
-        cofm = np.zeros(3, dtype=np.float64)
-        nbodies = 0
-        cost = 0.0
-        for ch in c.children:
-            if ch is None:
-                continue
-            if isinstance(ch, Leaf):
-                for idx in ch.indices:
-                    m = masses[idx]
-                    mass += m
-                    cofm += m * positions[idx]
-                    nbodies += 1
-                    if costs is not None:
-                        cost += costs[idx]
-            else:
-                mass += ch.mass
-                cofm += ch.mass * ch.cofm
-                nbodies += ch.nbodies
-                cost += ch.cost
-        c.mass = mass
-        c.cofm = cofm / mass if mass > 0 else c.center.copy()
-        c.nbodies = nbodies
-        c.cost = cost
+        fold_cell(c, positions, masses, costs)
         if on_cell is not None:
             on_cell(c)
+
+
+def fold_cell(c: Cell, positions: np.ndarray, masses: np.ndarray,
+              costs: Optional[np.ndarray] = None) -> None:
+    """Aggregate one cell from its slots; child cells must be finished.
+
+    Slots fold in ascending octant order -- the association order every
+    bit-identity claim about c-of-m values relies on.
+    """
+    mass = 0.0
+    cofm = np.zeros(3, dtype=np.float64)
+    nbodies = 0
+    cost = 0.0
+    for ch in c.children:
+        if ch is None:
+            continue
+        if isinstance(ch, Leaf):
+            for idx in ch.indices:
+                m = masses[idx]
+                mass += m
+                cofm += m * positions[idx]
+                nbodies += 1
+                if costs is not None:
+                    cost += costs[idx]
+        else:
+            mass += ch.mass
+            cofm += ch.mass * ch.cofm
+            nbodies += ch.nbodies
+            cost += ch.cost
+    c.mass = mass
+    c.cofm = cofm / mass if mass > 0 else c.center.copy()
+    c.nbodies = nbodies
+    c.cost = cost
 
 
 def merge_cofm(mass_a: float, cofm_a: np.ndarray,

@@ -75,6 +75,21 @@ def _ranges(base: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 @dataclass
+class RootSummary:
+    """A root cell's geometry and aggregates without its children.
+
+    What a variant exposes as ``root`` when the step's tree exists only
+    as a :class:`FlatTree`: the health guards and the fault injector read
+    these fields, which carry the same names as on :class:`Cell`.
+    """
+
+    center: np.ndarray
+    size: float
+    mass: float
+    cofm: np.ndarray
+
+
+@dataclass
 class FlatTree:
     """One octree, flattened to contiguous arrays (row 0 is the root)."""
 
@@ -88,6 +103,11 @@ class FlatTree:
     child: np.ndarray       # (C, 8) int64  -- encoded child slots
     leaf_ptr: np.ndarray    # (L+1,) int64  -- leaf body spans
     leaf_bodies: np.ndarray  # (B,)  int64  -- body indices, leaf-major
+    #: Morton-build provenance (None on trees flattened from ``Cell``s):
+    #: per-body octant keys in body-index order, and the stable
+    #: key-sorted body order
+    keys: Optional[np.ndarray] = None
+    order: Optional[np.ndarray] = None
 
     # -- traversal-side derived arrays (computed in __post_init__) --------
     cell_ptr: np.ndarray = field(init=False, repr=False)
@@ -154,6 +174,13 @@ class FlatTree:
                      "ctx", "cty", "ctz"):
             total += getattr(self, name).nbytes
         return total
+
+    def root_summary(self) -> "RootSummary":
+        """Row 0 under the root-cell field names (copies)."""
+        return RootSummary(center=self.center[0].copy(),
+                           size=float(self.size[0]),
+                           mass=float(self.mass[0]),
+                           cofm=self.cofm[0].copy())
 
     def leaf_slice(self, leaf_id: int) -> np.ndarray:
         """Body indices stored in one leaf."""

@@ -231,6 +231,25 @@ def _sorted_order(keys: np.ndarray, state: Optional[MortonBuildState]
     return order, reused
 
 
+def shared_digits(xor: np.ndarray) -> np.ndarray:
+    """Leading octant digits two packed keys share, given their XOR.
+
+    Identical keys (``xor == 0``) share all ``KEY_LEVELS`` digits.
+    """
+    shared = np.full(len(xor), KEY_LEVELS, dtype=np.int64)
+    nz = xor != 0
+    xv = xor[nz]
+    # exact floor(log2): the float approximation can land one too high
+    # when xv rounds up across a power of two, so correct it
+    b = np.log2(xv.astype(np.float64)).astype(np.int64)
+    b -= ((np.uint64(1) << b.astype(np.uint64)) > xv.astype(np.uint64)
+          ).astype(np.int64)
+    # digit 0 occupies bits 62..60, so the first difference at bit ``b``
+    # leaves (62 - b) // 3 leading digits shared
+    shared[nz] = (62 - b) // 3
+    return shared
+
+
 def _leaf_depths(sorted_keys: np.ndarray) -> np.ndarray:
     """Leaf depth per sorted position, derived from key neighbour LCPs.
 
@@ -247,18 +266,8 @@ def _leaf_depths(sorted_keys: np.ndarray) -> np.ndarray:
     if n == 1:
         return np.ones(1, dtype=np.int64)
     x = sorted_keys[1:] ^ sorted_keys[:-1]
-    shared = np.empty(n - 1, dtype=np.int64)
-    nz = x != 0
-    xv = x[nz]
-    # exact floor(log2): the float approximation can land one too high
-    # when xv rounds up across a power of two, so correct it
-    b = np.log2(xv.astype(np.float64)).astype(np.int64)
-    b -= ((np.uint64(1) << b.astype(np.uint64)) > xv.astype(np.uint64)
-          ).astype(np.int64)
-    # digit 0 occupies bits 62..60, so the first difference at bit ``b``
-    # leaves (62 - b) // 3 leading digits shared
-    shared[nz] = (62 - b) // 3
-    shared[~nz] = KEY_LEVELS + 9  # identical keys: force "deep"
+    shared = shared_digits(x)
+    shared[x == 0] = KEY_LEVELS + 9  # identical keys: force "deep"
     ld = np.zeros(n, dtype=np.int64)
     ld[:-1] = shared
     np.maximum(ld[1:], shared, out=ld[1:])
@@ -277,6 +286,11 @@ def build_flat_tree(positions: np.ndarray, masses: np.ndarray,
     leaves) without creating a single ``Cell`` object.  ``home`` is left 0
     everywhere -- thread affinity is a property of the simulated insertion
     build, not of the tree.
+
+    The returned tree keeps the octant ``keys`` (body-index order) and
+    the sorted body ``order`` the build computed, so callers that need
+    the key-sorted view of the same bodies (the subspace variant's
+    emulated-cost accounting) do not recompute it.
 
     ``tracer`` (a :class:`repro.obs.trace.Tracer`, or ``None``) records
     ``build``-category spans for the key, sort, per-level structure, and
@@ -440,6 +454,8 @@ def build_flat_tree(positions: np.ndarray, masses: np.ndarray,
         child=child,
         leaf_ptr=leaf_ptr,
         leaf_bodies=leaf_bodies,
+        keys=keys,
+        order=order,
     )
     if record:
         _snapshot_state(state, tree, keys, order, box, n,

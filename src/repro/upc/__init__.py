@@ -1,6 +1,10 @@
 """Simulated UPC/PGAS runtime substrate.
 
-See DESIGN.md section 2 for what is real versus modeled.  Public surface:
+Real: the program's data and control flow -- every shared access, lock,
+collective and allocation the paper's UPC code performs is issued here.
+Modeled: their cost, charged to per-thread virtual clocks by the
+:mod:`~repro.upc.costmodel` of a :class:`MachineConfig` cluster.  Public
+surface:
 
 * :class:`MachineConfig` -- the modeled cluster,
 * :class:`UpcRuntime` -- virtual clocks, phases, charged operations,

@@ -39,6 +39,15 @@ class SharedHeap:
         self.live_objects[tid] += 1
         return GlobalPtr(tid, target, nbytes)
 
+    def upc_alloc_many(self, tid: int, nbytes: int, count: int) -> None:
+        """``count`` allocations of ``nbytes`` each, without the pointers
+        (the bookkeeping of ``count`` :meth:`upc_alloc` calls)."""
+        self._check_tid(tid)
+        if nbytes < 0 or count < 0:
+            raise ValueError("nbytes and count must be non-negative")
+        self.allocated[tid] += nbytes * count
+        self.live_objects[tid] += count
+
     def upc_free(self, ptr: GlobalPtr) -> None:
         """Release one allocation (bookkeeping only)."""
         self.allocated[ptr.thread] -= ptr.nbytes

@@ -1,4 +1,7 @@
-"""Subspace tree building (section 6): splitting, allocation, exchange."""
+"""Subspace tree building (section 6): splitting, allocation, exchange,
+and the subforest build -- by insertion and from octant keys."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -6,12 +9,18 @@ import pytest
 from repro.core.app import BarnesHutSimulation
 from repro.core.config import BHConfig
 from repro.core.subspace import (
+    _key_counts,
+    account_subforest,
     allocate_leaves,
+    build_subforest_and_hook,
     exchange_bodies,
     split_subspaces,
 )
 from repro.nbody.bbox import compute_root
+from repro.nbody.distributions import make_distribution
 from repro.nbody.plummer import plummer
+from repro.octree.flat import RootSummary
+from repro.octree.morton_build import build_flat_tree
 from repro.upc.memory import SharedArray
 from repro.upc.params import MachineConfig
 from repro.upc.runtime import UpcRuntime
@@ -185,3 +194,137 @@ class TestEndToEnd:
         # subspace stats recorded per step
         assert len(res.variant_stats["subspace_counts"]) == 2
         assert all(c >= 1 for c in res.variant_stats["subspace_counts"])
+
+
+# --------------------------------------------------------------------- #
+# subforest from octant keys == subforest by insertion                   #
+# --------------------------------------------------------------------- #
+class _Accounts:
+    """What the subforest builders read and write on a variant."""
+
+    def __init__(self, rt, bodies):
+        self.rt = rt
+        self.bodies = bodies
+        self.ncells = 0
+        self.treebuild_subphases = []
+
+
+def _records(log):
+    return [(r.name, r.step, r.duration, r.thread_times.tolist(),
+             r.nic_times.tolist(),
+             {k: r.counters.per_thread(k).tolist()
+              for k in sorted(r.counters.keys())}) for r in log]
+
+
+def _subforest_both_ways(bodies, P, alpha=2 / 3):
+    """Run the split on one runtime, then both subforest builders on two
+    clones of it; assert every charge matches bit for bit."""
+    n = len(bodies)
+    rt = UpcRuntime(P, MachineConfig())
+    store = SharedArray.block_distributed(P, n)
+    box = compute_root(bodies.pos)
+    with rt.phase("split"):
+        tree, body_ss = split_subspaces(rt, bodies.pos, bodies.cost, store,
+                                        box, alpha, True)
+        owner = allocate_leaves(rt, tree)
+    flat = build_flat_tree(bodies.pos, bodies.mass, box, costs=bodies.cost)
+    ref = _Accounts(copy.deepcopy(rt), bodies)
+    key = _Accounts(copy.deepcopy(rt), bodies)
+    with ref.rt.phase("subforest"):
+        root = build_subforest_and_hook(ref, tree, body_ss, owner)
+    with key.rt.phase("subforest"):
+        account_subforest(key, tree, body_ss, owner, flat)
+    assert np.array_equal(key.rt.clock, ref.rt.clock)
+    assert np.array_equal(key.rt.heap.allocated, ref.rt.heap.allocated)
+    assert np.array_equal(key.rt.heap.live_objects,
+                          ref.rt.heap.live_objects)
+    assert _records(key.rt.log) == _records(ref.rt.log)
+    assert key.ncells == ref.ncells
+    if tree.child_base[0] >= 0:  # a leaf root also counts its subtree root
+        assert key.ncells == root.count_cells()
+    assert len(key.treebuild_subphases) == 1
+    for part in ("local", "merge"):
+        assert np.array_equal(key.treebuild_subphases[0][part],
+                              ref.treebuild_subphases[0][part])
+    return tree, body_ss, flat, root
+
+
+def _with_cluster(bodies):
+    """Near-coincident bodies (closer than the 21 packed key digits
+    resolve) plus an exact duplicate, which ends in a bucket leaf."""
+    bodies = bodies.copy()
+    for k in range(1, 6):
+        bodies.pos[k] = bodies.pos[0] + 1e-13 * k
+    bodies.pos[6] = bodies.pos[0]
+    return bodies
+
+
+@pytest.mark.parametrize("P", [1, 4, 16])
+@pytest.mark.parametrize("dist", ["plummer", "collision", "disk"])
+def test_key_subforest_matches_insertion(dist, P):
+    bodies = make_distribution(dist, 600, seed=P)
+    tree, body_ss, flat, root = _subforest_both_ways(bodies, P)
+    assert len(tree.leaves) > 1
+    # one tree, two constructions: the aggregates agree bit for bit
+    summary = flat.root_summary()
+    assert summary.mass == root.mass
+    assert np.array_equal(summary.cofm, root.cofm)
+
+
+@pytest.mark.parametrize("P", [1, 4])
+def test_key_subforest_near_coincident_cluster_falls_back(P):
+    bodies = _with_cluster(plummer(400, seed=9))
+    tree, body_ss, flat, _ = _subforest_both_ways(bodies, P)
+    *_, deep = _key_counts(tree, body_ss, flat.keys, flat.order)
+    assert deep[body_ss[0]] and deep.sum() == 1
+
+
+@pytest.mark.parametrize("cluster", [False, True])
+def test_key_subforest_root_is_a_leaf(cluster):
+    bodies = plummer(200, seed=4)
+    if cluster:
+        bodies = _with_cluster(bodies)
+    # alpha >= P: the root's cost never exceeds tau, so it is never split
+    tree, *_ = _subforest_both_ways(bodies, 4, alpha=8.0)
+    assert tree.n_nodes == 1 and tree.child_base[0] < 0
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*a, **kw):
+        calls.append(1)
+        return original(*a, **kw)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_flat_morton_run_matches_insertion_run(monkeypatch):
+    """subspace + flat: the key-derived subforest (no Cells, one tree per
+    step) replays the Cell-building run exactly over 10 steps."""
+    import repro.backends.flat as flat_backend
+    import repro.core.subspace as subspace
+
+    bodies = make_distribution("collision", 512, seed=2)
+    runs = {}
+    for build in ("insertion", "morton"):
+        cfg = BHConfig(nbodies=512, nsteps=10, warmup_steps=1, seed=2,
+                       distribution="collision", force_backend="flat",
+                       flat_build=build)
+        inserts = _counting(monkeypatch, subspace, "insert")
+        builds = _counting(monkeypatch, flat_backend, "build_flat_tree")
+        sim = BarnesHutSimulation(cfg, 4, variant="subspace", bodies=bodies)
+        runs[build] = (sim.run(), len(inserts), len(builds))
+        monkeypatch.undo()
+        if build == "morton":
+            assert isinstance(sim.variant.root, RootSummary)
+    (ins, ins_inserts, ins_builds), (mor, mor_inserts, mor_builds) = \
+        runs["insertion"], runs["morton"]
+    assert ins_inserts > 0 and ins_builds == 0
+    assert mor_inserts == 0 and mor_builds == 10
+    assert np.array_equal(mor.bodies.pos, ins.bodies.pos)
+    assert np.array_equal(mor.bodies.vel, ins.bodies.vel)
+    assert _records(mor.log) == _records(ins.log)
+    assert mor.phase_times.as_rows() == ins.phase_times.as_rows()

@@ -549,3 +549,60 @@ def test_cli_injected_fault_recovery(tmp_path):
     rc = main(["compare", str(tmp_path / "a.npz"),
                str(tmp_path / "b.npz")])
     assert rc == 0  # recovery restored exact parity
+
+
+# --------------------------------------------------------------------- #
+# subspace + flat-c: one tree per step; Cells only if the ladder needs   #
+# --------------------------------------------------------------------- #
+SUBSPACE = dict(nbodies=256, seed=5, distribution="collision",
+                force_backend="flat-c")
+
+
+def test_subspace_ladder_builds_cell_tree_on_demand(monkeypatch):
+    from repro.backends.compiled import CompiledFlatBackend
+    from repro.backends.flat import FlatBackend
+    from repro.octree.cell import Cell
+    from repro.octree.flat import RootSummary
+
+    def broken(self, body_idx, bodies):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(CompiledFlatBackend, "accelerations", broken)
+    monkeypatch.setattr(FlatBackend, "accelerations", broken)
+    cfg = BHConfig(nsteps=1, warmup_steps=0, guards=True, **SUBSPACE)
+    sim = BarnesHutSimulation(cfg, 4, variant="subspace")
+    res = sim.run()
+    counts = sim.resilience.counts
+    assert counts[("backend_fallbacks", "flat-c->flat")] == 1
+    assert counts[("backend_fallbacks", "flat->object-tree")] == 1
+    # the variant built no Cells; the wrapper built them for the rung
+    assert isinstance(sim.variant.root, RootSummary)
+    assert isinstance(sim.variant.force_backend._root, Cell)
+    monkeypatch.undo()
+    ref = BarnesHutSimulation(cfg.with_(force_backend="object-tree"), 4,
+                              variant="subspace").run()
+    assert np.abs(res.bodies.acc - ref.bodies.acc).max() <= 1e-12
+
+
+def test_subspace_treebuild_root_corruption_is_caught():
+    cfg = BHConfig(nsteps=4, warmup_steps=1, guards=True,
+                   inject=("treebuild:2:corrupt",), **SUBSPACE)
+    sim = BarnesHutSimulation(cfg, 4, variant="subspace")
+    with pytest.raises(SimulationFault) as ei:
+        sim.run()
+    assert (ei.value.cause, ei.value.phase, ei.value.step) \
+        == (CAUSE_NON_FINITE, TREEBUILD, 2)
+    assert sim.resilience.counts[("injected_corruptions", TREEBUILD)] == 1
+
+
+def test_subspace_flat_c_kill_restore_bit_identical(tmp_path):
+    kw = dict(nsteps=15, warmup_steps=1, **SUBSPACE)
+    ref = BarnesHutSimulation(BHConfig(**kw), 4, variant="subspace").run()
+    ck = tmp_path / "ck"
+    cfg = BHConfig(checkpoint_every=5, checkpoint_dir=str(ck), **kw)
+    with pytest.raises(SimulationKilled):
+        BarnesHutSimulation(cfg, 4, variant="subspace",
+                            kill_at_step=7).run()
+    res = restore_simulation(latest_checkpoint(ck)).run()
+    assert np.array_equal(res.bodies.pos, ref.bodies.pos)
+    assert np.array_equal(res.bodies.vel, ref.bodies.vel)
