@@ -254,14 +254,14 @@ class FlatTree:
     @classmethod
     def from_morton(cls, positions: np.ndarray, masses: np.ndarray,
                     box: RootBox, costs: Optional[np.ndarray] = None,
-                    tracer=None, state=None) -> "FlatTree":
+                    tracer=None) -> "FlatTree":
         """Vectorized Morton-direct construction -- same tree as
         :meth:`from_bodies`, no ``Cell`` objects on the hot path (see
         :mod:`repro.octree.morton_build`)."""
         from .morton_build import build_flat_tree
 
         return build_flat_tree(positions, masses, box, costs=costs,
-                               tracer=tracer, state=state)
+                               tracer=tracer)
 
 
 def check_flat_tree(tree: FlatTree, positions: np.ndarray,

@@ -133,10 +133,9 @@ def main(argv: "Optional[List[str]]" = None) -> int:
     run.add_argument("--variant", default="baseline")
     run.add_argument("--distribution", default="plummer")
     run.add_argument("--backend", default="flat",
-                     help="force backend (default: flat -- the engine "
-                          "with the interesting restore state)")
-    run.add_argument("--flat-build", default="incremental",
-                     choices=["morton", "insertion", "incremental"])
+                     help="force backend (default: flat)")
+    run.add_argument("--flat-build", default="morton",
+                     choices=["morton", "insertion"])
     run.add_argument("--checkpoint-every", type=int, default=0,
                      metavar="N")
     run.add_argument("--checkpoint-dir", default=None, metavar="DIR")

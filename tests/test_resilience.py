@@ -11,6 +11,7 @@ degradation ladder, and the two satellite bugfixes (config validation,
 ``repro-bench --check`` warn-and-skip).
 """
 
+import json
 import warnings
 
 import numpy as np
@@ -52,7 +53,7 @@ from repro.resilience.faults import (
 THREADS = 2
 
 BASE = dict(nbodies=128, nsteps=3, warmup_steps=1, seed=7,
-            force_backend="flat", flat_build="incremental")
+            force_backend="flat", flat_build="morton")
 
 
 def run_sim(variant="baseline", threads=THREADS, kill_at_step=None,
@@ -316,8 +317,7 @@ def test_resilience_counters_reach_metrics():
 # checkpoint -> kill -> restore                                         #
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend,build", [
-    ("flat", "incremental"), ("flat", "morton"),
-    ("object-tree", "morton"),
+    ("flat", "morton"), ("object-tree", "morton"),
 ])
 def test_kill_restore_bit_identical(tmp_path, backend, build):
     # 15 steps; killed after 7 with checkpoints every 5 -> restore from
@@ -363,12 +363,37 @@ def test_checkpoint_format_versioned(tmp_path):
     assert ckpt.step == 1 and ckpt.resume_step == 2
     assert set(ckpt.arrays) == {"pos", "vel", "mass", "acc", "cost",
                                 "store", "assign"}
-    assert ckpt.flat_box is not None  # incremental path: sticky box saved
     # a foreign npz is rejected, not misread
     bogus = tmp_path / "bogus.npz"
     np.savez(bogus, pos=np.zeros((3, 3)))
     with pytest.raises(ValueError, match="header"):
         load_checkpoint(bogus)
+
+
+def test_version1_checkpoint_rejected(tmp_path):
+    # a repro-checkpoint/1 file (with the since-removed flat_box header
+    # field and config keys) fails on its version tag, not on the keys
+    ck = tmp_path / "ck"
+    with pytest.raises(SimulationKilled):
+        run_sim(checkpoint_every=2, checkpoint_dir=str(ck),
+                kill_at_step=1)
+    ckpt = load_checkpoint(latest_checkpoint(ck))
+    header = {
+        "version": "repro-checkpoint/1", "step": ckpt.step,
+        "config": {**ckpt.config, "flat_build": "incremental",
+                   "flat_build_reuse_order": False,
+                   "flat_reuse_depth": 21},
+        "variant": ckpt.variant, "nthreads": ckpt.nthreads,
+        "flat_box": {"center": [0.0, 0.0, 0.0], "rsize": 4.0},
+        "injector_state": None,
+    }
+    old = tmp_path / "ckpt_v1.npz"
+    np.savez(old, header=np.frombuffer(json.dumps(header).encode("utf-8"),
+                                       dtype=np.uint8), **ckpt.arrays)
+    for reader in (load_checkpoint, restore_simulation):
+        with pytest.raises(ValueError,
+                           match="unsupported checkpoint version"):
+            reader(old)
 
 
 def test_latest_checkpoint_empty_dir(tmp_path):
@@ -442,59 +467,6 @@ def test_resilient_backend_ladder_bottom_is_structured():
     with pytest.raises(SimulationFault) as ei:
         wrapped.accelerations(np.arange(32), bodies)
     assert "no rung" in ei.value.detail
-
-
-def test_flat_incremental_build_fallback(monkeypatch):
-    """A splice failure inside the incremental builder is absorbed by a
-    state-reset fresh rebuild (first rung of the ladder)."""
-    import repro.backends.flat as flat_mod
-    from repro.backends import make_backend
-    from repro.nbody.distributions import make_distribution
-
-    cfg = BHConfig(nbodies=96, force_backend="flat",
-                   flat_build="incremental")
-    bodies = make_distribution("plummer", 96, seed=3)
-    backend = make_backend("flat", cfg)
-    backend.begin_step(None, bodies)          # seeds the snapshot
-    reference = backend.tree
-
-    real = flat_mod.build_flat_tree_incremental
-    calls = {"n": 0}
-
-    def flaky(*args, **kw):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise RuntimeError("splice state damaged")
-        return real(*args, **kw)
-
-    monkeypatch.setattr(flat_mod, "build_flat_tree_incremental", flaky)
-    backend.begin_step(None, bodies)          # same positions
-    assert backend.build_fallbacks == 1
-    assert np.array_equal(backend.tree.child, reference.child)
-    assert np.array_equal(backend.tree.cofm, reference.cofm)
-
-
-def test_damaged_morton_snapshot_falls_back_fresh():
-    from repro.nbody.bbox import compute_root
-    from repro.nbody.distributions import make_distribution
-    from repro.octree.morton_build import (
-        MortonBuildState,
-        build_flat_tree,
-        build_flat_tree_incremental,
-    )
-
-    bodies = make_distribution("plummer", 96, seed=3)
-    box = compute_root(bodies.pos, 4.0)
-    state = MortonBuildState()
-    build_flat_tree_incremental(bodies.pos, bodies.mass, box, state=state)
-    assert state.consistent()
-    state.sorted_keys = state.sorted_keys[:-1]   # corruption
-    assert not state.consistent()
-    tree = build_flat_tree_incremental(bodies.pos, bodies.mass, box,
-                                       state=state)
-    assert state.last_reuse["fresh_fallback"]
-    fresh = build_flat_tree(bodies.pos, bodies.mass, box)
-    assert np.array_equal(tree.child, fresh.child)
 
 
 # --------------------------------------------------------------------- #
